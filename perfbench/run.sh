@@ -1,0 +1,19 @@
+#!/usr/bin/env bash
+# Builds the benchmark from source and runs it with the given arguments.
+# Run from the repository root:
+#
+#   bash perfbench/run.sh --workload neuron-reuse --seed 1 --seconds 20 --trace 0
+#
+# Every build artifact (binary, Go build cache, temp files) stays under
+# .bench_build in the current directory.
+set -euo pipefail
+root="$(pwd)"
+build="$root/.bench_build"
+mkdir -p "$build/gocache" "$build/tmp" "$build/modcache" "$build/config"
+export GOCACHE="$build/gocache" GOTMPDIR="$build/tmp" GOMODCACHE="$build/modcache"
+# The go command keeps its telemetry counters under the user config
+# directory; point that into the build directory too.
+export XDG_CONFIG_HOME="$build/config"
+export GOTOOLCHAIN=local GOWORK=off GOFLAGS=
+(cd "$root/perfbench" && go build -o "$build/perfbench" .)
+exec "$build/perfbench" "$@"
